@@ -54,7 +54,7 @@ fn bench_production(c: &mut Criterion) {
 
 fn bench_ls_replay(c: &mut Criterion) {
     let (g, spawn) = spawners();
-    let cfg = DefinedConfig::recording();
+    let cfg = DefinedConfig::default();
     let s1 = spawn.clone();
     let mut net = RbNetwork::new(&g, cfg.clone(), 2, 0.3, move |id| s1[id.index()].clone());
     net.run_until(SimTime::from_secs(3));

@@ -220,7 +220,7 @@ pub fn fig6ab(scale: Scale) -> (FigureData, FigureData) {
 pub fn fig6c(scale: Scale) -> FigureData {
     let g = scale.sprintlink();
     let n = g.node_count();
-    let cfg = DefinedConfig::recording();
+    let cfg = DefinedConfig::default();
     let f = OspfProcess::for_graph(&g, OspfConfig::stress(n));
     let spawn: Vec<OspfProcess> = (0..n).map(|i| f(NodeId(i as u32))).collect();
     let spawn2 = spawn.clone();
@@ -445,7 +445,7 @@ pub fn fig8c(scale: Scale) -> FigureData {
     let mut points = Vec::new();
     for &n in &scale.fig8_sizes() {
         let g = brite::barabasi_albert(n, 2, 80 + n as u64);
-        let cfg = DefinedConfig::recording();
+        let cfg = DefinedConfig::default();
         let f = OspfProcess::for_graph(&g, OspfConfig::stress(n));
         let spawn: Vec<OspfProcess> = (0..n).map(|i| f(NodeId(i as u32))).collect();
         let spawn2 = spawn.clone();

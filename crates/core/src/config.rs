@@ -161,12 +161,6 @@ impl DefinedConfig {
         }
     }
 
-    /// Recording-friendly configuration: full history retained so the
-    /// partial recording and committed logs can be extracted.
-    pub fn recording() -> Self {
-        DefinedConfig::default()
-    }
-
     /// Virtual-time ticks per second under this beacon interval.
     pub fn ticks_per_second(&self) -> f64 {
         1.0 / self.beacon_interval.as_secs_f64()

@@ -178,10 +178,10 @@ where
 }
 
 /// One complete replay under the salted permuted ordering, executed across
-/// `shards` worker shards (shard-count invariant by the [`WaveEngine`]
+/// `shards` worker shards (shard-count invariant by the [`ShardedWaves`]
 /// contract, so a sharded sweep answers exactly as a serial one).
 ///
-/// [`WaveEngine`]: crate::shard::WaveEngine
+/// [`ShardedWaves`]: crate::shard::ShardedWaves
 fn salted_replay<P, S>(
     graph: &Graph,
     base_cfg: &DefinedConfig,

@@ -18,9 +18,9 @@
 //! Figs. 6c and 8c.
 
 use crate::config::DefinedConfig;
-use crate::order::{Annotation, MsgId};
+use crate::order::Annotation;
 use crate::recorder::{CommitRecord, Recording};
-use crate::shard::{DeliveryCtx, LsNode, LsPayload, Pending, ShardedWaves, WaveEngine};
+use crate::shard::{DeliveryCtx, LsNode, LsPayload, Pending, ShardedWaves};
 use crate::snapshot::NodeSnapshot;
 use crate::wire::Wire;
 use checkpoint::Snapshotable;
@@ -70,12 +70,6 @@ pub struct LsEvent {
     pub record: CommitRecord,
 }
 
-/// A [`LockstepNet`] whose waves execute across worker shards — the two
-/// are the same type: sharding is a property of the installed
-/// [`WaveEngine`], selected with [`LockstepNet::with_shards`], and by the
-/// engine contract it changes only cost, never results (DESIGN.md §10).
-pub type ShardedNet<P> = LockstepNet<P>;
-
 /// The lockstep debugging network.
 pub struct LockstepNet<P: ControlPlane> {
     cfg: DefinedConfig,
@@ -106,7 +100,7 @@ pub struct LockstepNet<P: ControlPlane> {
     done: bool,
     /// How staged waves execute: serial sweep (`ShardedWaves::new(1)`, the
     /// default) or partitioned across worker shards.
-    engine: Box<dyn WaveEngine<P>>,
+    waves: ShardedWaves,
 }
 
 impl<P: ControlPlane> LockstepNet<P> {
@@ -158,21 +152,16 @@ impl<P: ControlPlane> LockstepNet<P> {
             step_times: Vec::new(),
             timing: LsTiming::default(),
             done: false,
-            engine: Box::new(ShardedWaves::new(1)),
+            waves: ShardedWaves::new(1),
         }
     }
 
-    /// Overrides the response-time model.
-    pub fn set_timing(&mut self, timing: LsTiming) {
-        self.timing = timing;
-    }
-
     /// Executes waves across `shards` worker shards (`0` = auto, the host's
-    /// available parallelism). By the [`WaveEngine`] contract this changes
-    /// only cost: committed logs, images, and transcripts are byte-identical
-    /// for every shard count.
+    /// available parallelism). This changes only cost: committed logs,
+    /// images, and transcripts are byte-identical for every shard count
+    /// (DESIGN.md §10).
     pub fn set_shards(&mut self, shards: usize) {
-        self.engine = Box::new(ShardedWaves::new(shards));
+        self.waves = ShardedWaves::new(shards);
     }
 
     /// Builder-style [`LockstepNet::set_shards`].
@@ -181,14 +170,9 @@ impl<P: ControlPlane> LockstepNet<P> {
         self
     }
 
-    /// The installed engine's worker-shard count.
+    /// The worker-shard count waves execute across.
     pub fn shards(&self) -> usize {
-        self.engine.shards()
-    }
-
-    /// Installs a custom wave engine (e.g. an instrumented one in tests).
-    pub fn set_engine(&mut self, engine: Box<dyn WaveEngine<P>>) {
-        self.engine = engine;
+        self.waves.shards()
     }
 
     /// The group currently being replayed.
@@ -299,11 +283,11 @@ impl<P: ControlPlane> LockstepNet<P> {
         None
     }
 
-    /// Executes the *whole* remaining staged wave through the installed
-    /// [`WaveEngine`] — the sharded fast path. Equivalent to draining
-    /// [`deliver_next_staged`] (the engine contract), but the engine sees
-    /// the wave at once and may partition it across workers. Returns false
-    /// when nothing was staged (never advances phases or groups).
+    /// Executes the *whole* remaining staged wave through [`ShardedWaves`]
+    /// — the sharded fast path. Equivalent to draining
+    /// [`deliver_next_staged`], but the executor sees the wave at once and
+    /// may partition it across workers. Returns false when nothing was
+    /// staged (never advances phases or groups).
     ///
     /// [`deliver_next_staged`]: LockstepNet::deliver_next_staged
     fn drain_staged_wave(&mut self) -> bool {
@@ -323,7 +307,7 @@ impl<P: ControlPlane> LockstepNet<P> {
             queue_pos,
             next_wave,
             holdover,
-            engine,
+            waves,
             ..
         } = self;
         let ctx = DeliveryCtx {
@@ -337,7 +321,7 @@ impl<P: ControlPlane> LockstepNet<P> {
         };
         let out = {
             let _wave = obs::span!("ls.wave");
-            engine.execute(&ctx, nodes, logs, &queue[*queue_pos..])
+            waves.execute(&ctx, nodes, logs, &queue[*queue_pos..])
         };
         obs::counter!("ls.waves").add(1);
         obs::counter!("ls.delivered").add(out.delivered as u64);
@@ -861,9 +845,6 @@ pub fn first_divergence(
     None
 }
 
-/// Placeholder for unused id type re-export (kept for debugger displays).
-pub type LsMsgId = MsgId;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1074,9 +1055,7 @@ mod tests {
         };
         for shards in [2usize, 4] {
             let mut net = small_ls();
-            net.set_engine(Box::new(
-                crate::shard::ShardedWaves::new(shards).with_min_wave_per_shard(0),
-            ));
+            net.waves = ShardedWaves::new(shards).with_min_wave_per_shard(0);
             assert_eq!(net.shards(), shards);
             net.run_to_end();
             assert_eq!(net.logs(), &serial_logs[..], "shards={shards} diverged from serial");
@@ -1084,14 +1063,14 @@ mod tests {
         // Cross-shard-count checkpoint seeding: capture under shards=2,
         // restore into shards=4, finish — still the serial logs.
         let mut two = small_ls();
-        two.set_engine(Box::new(crate::shard::ShardedWaves::new(2).with_min_wave_per_shard(0)));
+        two.waves = ShardedWaves::new(2).with_min_wave_per_shard(0);
         two.run_to_group_start(5);
         let img = two.capture_image();
         let mut history = LsHistory::new(4);
         two.run_to_end();
         two.merge_history(&mut history);
         let mut four = small_ls();
-        four.set_engine(Box::new(crate::shard::ShardedWaves::new(4).with_min_wave_per_shard(0)));
+        four.waves = ShardedWaves::new(4).with_min_wave_per_shard(0);
         four.restore_image_seeded(img, &history);
         four.run_to_end();
         assert_eq!(four.logs(), &serial_logs[..], "cross-shard-count restore diverged");
@@ -1107,7 +1086,7 @@ mod tests {
             r.logs().to_vec()
         };
         let mut ls = small_ls();
-        ls.set_engine(Box::new(crate::shard::ShardedWaves::new(2).with_min_wave_per_shard(0)));
+        ls.waves = ShardedWaves::new(2).with_min_wave_per_shard(0);
         assert!(ls.run_to_group_start(5) || ls.is_done());
         assert!(ls.at_group_start());
         assert_eq!(ls.current_group(), 5);

@@ -1,5 +1,5 @@
-//! The shard-local wave engine behind [`LockstepNet`]: deterministic
-//! intra-replay parallelism (DESIGN.md §10).
+//! The wave executor behind [`LockstepNet`]: deterministic intra-replay
+//! parallelism (DESIGN.md §10).
 //!
 //! A lockstep replay advances in *waves* — the deliveries of one sub-cycle,
 //! sorted by the production order key. Within a wave, deliveries to
@@ -20,14 +20,12 @@
 //!   sorted by the strictly total `(OrderKey, to)` before the next wave is
 //!   consumed, so the cross-shard exchange erases shard boundaries.
 //!
-//! [`WaveEngine`] is the seam: [`ShardedWaves`] executes a wave across a
-//! block partition of the nodes (`shards = 1` is the inline serial sweep),
-//! and an alternative engine — e.g. GVT-bounded optimistic execution over
-//! the `core::rb` Time Warp machinery — can be swapped in via
-//! [`LockstepNet::set_engine`] without touching the replay state machine.
+//! [`ShardedWaves`] is that executor: it runs a wave across a block
+//! partition of the nodes, and `shards = 1` is the inline serial sweep.
+//! The only other lockstep delivery loop is [`LockstepNet`]'s
+//! single-event stepping, and both call `DeliveryCtx::deliver`.
 //!
 //! [`LockstepNet`]: crate::ls::LockstepNet
-//! [`LockstepNet::set_engine`]: crate::ls::LockstepNet::set_engine
 //! [`EventIdentity`]: crate::order::EventIdentity
 
 use crate::config::OrderingMode;
@@ -82,7 +80,7 @@ pub(crate) enum LsPayload<M, X> {
 
 /// One replayed node: its composite snapshot plus the committed send
 /// counter recorded losses are keyed by.
-pub struct LsNode<P: ControlPlane> {
+pub(crate) struct LsNode<P: ControlPlane> {
     pub(crate) snap: NodeSnapshot<P>,
     pub(crate) send_count: u64,
 }
@@ -92,7 +90,7 @@ pub struct LsNode<P: ControlPlane> {
 /// estimates), plus the wave's phase markers. Shared by every shard of a
 /// wave — nothing in it is written during execution, which is what makes
 /// the shards independent.
-pub struct DeliveryCtx<'a> {
+pub(crate) struct DeliveryCtx<'a> {
     pub(crate) ordering: OrderingMode,
     pub(crate) chain_bound: u32,
     pub(crate) group: u64,
@@ -108,7 +106,7 @@ impl DeliveryCtx<'_> {
     /// by ordering-salt-independent [`EventIdentity`], and depends only on
     /// the destination node — so the filter holds per shard exactly as it
     /// holds serially.
-    pub fn allows<M, X>(&self, p: &Pending<M, X>) -> bool {
+    pub(crate) fn allows<M, X>(&self, p: &Pending<M, X>) -> bool {
         match self.mutes.get(&p.to) {
             Some(allowed) => allowed.contains(&p.ann.key(self.ordering).identity()),
             None => true,
@@ -119,7 +117,7 @@ impl DeliveryCtx<'_> {
     /// `log` and every surviving send onto `emitted`. Touches nothing but
     /// `node`, `log`, and `emitted` — the whole determinism argument of
     /// sharded execution rests on this signature.
-    pub fn deliver<P: ControlPlane>(
+    pub(crate) fn deliver<P: ControlPlane>(
         &self,
         node: &mut LsNode<P>,
         log: &mut Vec<CommitRecord>,
@@ -202,35 +200,11 @@ impl DeliveryCtx<'_> {
 /// messages emitted into later sub-cycles, in an *arbitrary* cross-shard
 /// order — the caller sorts by the strictly total `(OrderKey, to)` before
 /// the next wave is consumed, so this order never matters.
-pub struct WaveOutput<M, X> {
+pub(crate) struct WaveOutput<M, X> {
     /// Events actually delivered (death-cut-filtered ones are absorbed).
-    pub delivered: usize,
+    pub(crate) delivered: usize,
     /// Messages materialised by the wave's handlers.
-    pub emitted: Vec<Pending<M, X>>,
-}
-
-/// How a [`LockstepNet`] executes one staged wave of deliveries.
-///
-/// The contract an implementation must keep for Theorem 1 to survive
-/// sharding: each node receives exactly the wave's deliveries addressed to
-/// it that pass [`DeliveryCtx::allows`], in wave order; each delivery goes
-/// through [`DeliveryCtx::deliver`] against that node's own state and log;
-/// and every emitted message is returned (order among them is free — the
-/// caller re-sorts).
-///
-/// [`LockstepNet`]: crate::ls::LockstepNet
-pub trait WaveEngine<P: ControlPlane>: Send + Sync {
-    /// The worker-shard count this engine runs, for display and planning.
-    fn shards(&self) -> usize;
-
-    /// Executes one wave against the whole network.
-    fn execute(
-        &self,
-        ctx: &DeliveryCtx<'_>,
-        nodes: &mut [LsNode<P>],
-        logs: &mut [Vec<CommitRecord>],
-        wave: &[Pending<P::Msg, P::Ext>],
-    ) -> WaveOutput<P::Msg, P::Ext>;
+    pub(crate) emitted: Vec<Pending<M, X>>,
 }
 
 /// Below this many staged deliveries per shard a wave runs inline: spawning
@@ -238,11 +212,18 @@ pub trait WaveEngine<P: ControlPlane>: Send + Sync {
 /// determinism contract the choice affects only cost, never results.
 const DEFAULT_MIN_WAVE_PER_SHARD: usize = 4;
 
-/// The block-partitioned wave engine: nodes are split into `shards`
+/// The block-partitioned wave executor: nodes are split into `shards`
 /// contiguous blocks, one scoped worker per block sweeps the shared wave
 /// for deliveries addressed to its block, and the per-block outputs are
 /// concatenated. `shards = 1` (the default) is exactly the serial sweep,
 /// inline on the calling thread.
+///
+/// What keeps Theorem 1 intact across shard counts: each node receives
+/// exactly the wave's deliveries addressed to it that pass
+/// `DeliveryCtx::allows`, in wave order; each delivery goes through
+/// `DeliveryCtx::deliver` against that node's own state and log; and
+/// every emitted message is returned (order among them is free — the
+/// caller re-sorts).
 #[derive(Clone, Copy, Debug)]
 pub struct ShardedWaves {
     shards: usize,
@@ -250,7 +231,7 @@ pub struct ShardedWaves {
 }
 
 impl ShardedWaves {
-    /// An engine with `shards` workers; `0` means "auto"
+    /// An executor with `shards` workers; `0` means "auto"
     /// ([`resolve_workers`]).
     pub fn new(shards: usize) -> Self {
         ShardedWaves {
@@ -261,18 +242,19 @@ impl ShardedWaves {
 
     /// Overrides the inline-execution threshold — tests force `0` so even
     /// tiny waves cross real thread boundaries.
-    pub fn with_min_wave_per_shard(mut self, min: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_min_wave_per_shard(mut self, min: usize) -> Self {
         self.min_wave_per_shard = min;
         self
     }
-}
 
-impl<P: ControlPlane> WaveEngine<P> for ShardedWaves {
-    fn shards(&self) -> usize {
+    /// The worker-shard count waves execute across.
+    pub fn shards(&self) -> usize {
         self.shards
     }
 
-    fn execute(
+    /// Executes one wave against the whole network.
+    pub(crate) fn execute<P: ControlPlane>(
         &self,
         ctx: &DeliveryCtx<'_>,
         nodes: &mut [LsNode<P>],

@@ -103,7 +103,7 @@ impl<M> Outbox<M> {
 ///
 /// Control planes and their payloads are `Send`/`Sync`: a pure state
 /// machine owns no thread-affine resources, and the bound is what lets the
-/// threaded lockstep runtime and the replay farm move whole debugging
+/// sharded wave executor and the replay farm move nodes and whole debugging
 /// networks across worker threads.
 pub trait ControlPlane: Snapshotable + fmt::Debug + Send {
     /// Wire message type.

@@ -1,6 +1,7 @@
 //! The engine: compiles a [`Scenario`] onto the DEFINED record → replay
-//! workflow. All protocol dispatch lives here; everything downstream of the
-//! dispatch is generic over [`ControlPlane`].
+//! workflow. The protocol is dispatched once, by `Scenario::kit`; every
+//! verb downstream of that match is generic over [`ControlPlane`] plus the
+//! engine's `ScenarioProtocol` trait.
 
 use crate::spec::{ExtSpec, Fault, Probe, ProtocolSpec};
 use crate::{Scenario, ScenarioError};
@@ -104,90 +105,105 @@ impl GvtReport {
     }
 }
 
-fn ext_to_rip(ev: &ExtSpec) -> Option<RipExt> {
-    match ev {
-        ExtSpec::RipConnect { prefix } => Some(RipExt::Connect { prefix: *prefix }),
-        _ => None,
-    }
+/// What the engine needs from a control plane beyond [`ControlPlane`]: how
+/// a scenario injection maps onto the protocol's external events, and how
+/// the outcome probe reads one node. A new protocol needs one impl of this
+/// trait and one arm in [`Scenario::kit`].
+trait ScenarioProtocol: ControlPlane<Msg: Wire, Ext: Wire> + Clone + Sync + 'static {
+    /// The protocol's external event for `ev`; `None` when it does not fit.
+    fn external(ev: &ExtSpec) -> Option<Self::Ext>;
+
+    /// The probe's report, read off this control plane; `None` when the
+    /// probe does not fit the protocol.
+    fn outcome(&self, probe: &Probe) -> Option<String>;
 }
 
-fn ext_to_bgp(ev: &ExtSpec) -> Option<BgpExt> {
-    match ev {
-        ExtSpec::BgpAnnounce { prefix, attrs } => {
-            Some(BgpExt::Announce { prefix: *prefix, attrs: *attrs })
+impl ScenarioProtocol for RipProcess {
+    fn external(ev: &ExtSpec) -> Option<RipExt> {
+        match ev {
+            ExtSpec::RipConnect { prefix } => Some(RipExt::Connect { prefix: *prefix }),
+            _ => None,
         }
-        ExtSpec::BgpWithdraw { prefix, route_id } => {
-            Some(BgpExt::Withdraw { prefix: *prefix, route_id: *route_id })
+    }
+
+    fn outcome(&self, probe: &Probe) -> Option<String> {
+        match *probe {
+            Probe::RipRoute { node, prefix } => {
+                let via = self.route(prefix).and_then(|r| r.next_hop);
+                Some(match via {
+                    Some(nh) => format!("{node} routes {prefix} via {nh}"),
+                    None => format!("{node} has no route to {prefix}"),
+                })
+            }
+            _ => None,
         }
-        _ => None,
     }
 }
 
-fn ext_to_ospf(_ev: &ExtSpec) -> Option<()> {
-    None // OSPF takes no runtime externals; validation rejects them.
-}
+impl ScenarioProtocol for OspfProcess {
+    fn external(_ev: &ExtSpec) -> Option<()> {
+        None // OSPF takes no runtime externals; validation rejects them.
+    }
 
-/// The probe's report, read off one RIP control plane.
-fn rip_outcome(probe: &Probe, cp: &RipProcess) -> Option<String> {
-    match *probe {
-        Probe::RipRoute { node, prefix } => {
-            let via = cp.route(prefix).and_then(|r| r.next_hop);
-            Some(match via {
-                Some(nh) => format!("{node} routes {prefix} via {nh}"),
-                None => format!("{node} has no route to {prefix}"),
-            })
+    fn outcome(&self, probe: &Probe) -> Option<String> {
+        match *probe {
+            Probe::OspfReachable { node } => {
+                Some(format!("{node} reaches {} destinations", self.routing_table().len()))
+            }
+            _ => None,
         }
-        _ => None,
     }
 }
 
-/// The probe's report, read off one BGP control plane.
-fn bgp_outcome(probe: &Probe, cp: &BgpProcess) -> Option<String> {
-    match *probe {
-        Probe::BgpBest { node, prefix } => {
-            let best = cp.best_path(prefix).map(|p| p.route_id);
-            Some(match best {
-                Some(id) => format!("{node} selects p{id} for {prefix}"),
-                None => format!("{node} has no path to {prefix}"),
-            })
+impl ScenarioProtocol for BgpProcess {
+    fn external(ev: &ExtSpec) -> Option<BgpExt> {
+        match ev {
+            ExtSpec::BgpAnnounce { prefix, attrs } => {
+                Some(BgpExt::Announce { prefix: *prefix, attrs: *attrs })
+            }
+            ExtSpec::BgpWithdraw { prefix, route_id } => {
+                Some(BgpExt::Withdraw { prefix: *prefix, route_id: *route_id })
+            }
+            _ => None,
         }
-        _ => None,
     }
-}
 
-/// The probe's report, read off one OSPF control plane.
-fn ospf_outcome(probe: &Probe, cp: &OspfProcess) -> Option<String> {
-    match *probe {
-        Probe::OspfReachable { node } => {
-            Some(format!("{node} reaches {} destinations", cp.routing_table().len()))
+    fn outcome(&self, probe: &Probe) -> Option<String> {
+        match *probe {
+            Probe::BgpBest { node, prefix } => {
+                let best = self.best_path(prefix).map(|p| p.route_id);
+                Some(match best {
+                    Some(id) => format!("{node} selects p{id} for {prefix}"),
+                    None => format!("{node} has no path to {prefix}"),
+                })
+            }
+            _ => None,
         }
-        _ => None,
     }
 }
 
-/// Decodes a recording and checks it was taken on a network of this
-/// scenario's size — `LockstepNet::new` asserts on a mismatch, and a
-/// recording from a same-protocol but different-sized scenario should be a
-/// clean [`ScenarioError::BadRecording`], not a panic.
-///
-/// Accepts both serialisations transparently: the on-disk store format
-/// (sniffed by its magic; torn tails recover to the last sync point,
-/// corruption is a typed [`ScenarioError::Store`]) and the raw in-memory
-/// [`Recording::to_bytes`] framing.
-fn decode_for<P>(g: &Graph, bytes: &[u8]) -> Result<Recording<P::Ext>, ScenarioError>
-where
-    P: ControlPlane,
-    P::Ext: Wire,
-{
-    let rec = if defined_store::is_store(bytes) {
-        defined_store::open_bytes::<P::Ext>(bytes)?.recording
-    } else {
-        Recording::<P::Ext>::from_bytes(bytes).ok_or(ScenarioError::BadRecording)?
-    };
-    if rec.n_nodes != g.node_count() {
-        return Err(ScenarioError::BadRecording);
-    }
-    Ok(rec)
+/// The verbs over one protocol's processes, with the protocol type erased
+/// so that [`Scenario::kit`] is the only code that names a protocol.
+trait Verbs {
+    fn record(self: Box<Self>, store: Option<&Path>) -> Result<RecordedRun, ScenarioError>;
+    fn replay(&self, bytes: &[u8], shards: usize) -> Result<Vec<Vec<CommitRecord>>, ScenarioError>;
+    fn debug(&self, bytes: &[u8], script: &str, shards: usize) -> Result<String, ScenarioError>;
+    fn explore(
+        &self,
+        bytes: &[u8],
+        salts: u64,
+        farm: &FarmConfig,
+    ) -> Result<ExploreReport, ScenarioError>;
+    fn bisect(&self, bytes: &[u8], farm: &FarmConfig)
+        -> Result<Option<BisectSummary>, ScenarioError>;
+    fn verify(&self, bytes: &[u8], shards: usize) -> Result<VerifyReport, ScenarioError>;
+}
+
+/// One scenario's built graph and a fresh process per node of its protocol.
+struct Kit<'s, P> {
+    scn: &'s Scenario,
+    g: Graph,
+    procs: Vec<P>,
 }
 
 /// Streams a production run's recording into an on-disk store *while the
@@ -468,10 +484,30 @@ impl Scenario {
         Ok(())
     }
 
+    /// The one protocol dispatch: validates the scenario, builds its graph
+    /// and its protocol's processes, and hands back the verbs over them.
+    fn kit(&self) -> Result<Box<dyn Verbs + '_>, ScenarioError> {
+        let g = self.checked_build()?;
+        let kit: Box<dyn Verbs + '_> = match self.protocol {
+            ProtocolSpec::Rip { mode } => {
+                Box::new(Kit { scn: self, procs: crate::registry::rip_processes(&g, mode), g })
+            }
+            ProtocolSpec::Ospf => {
+                Box::new(Kit { scn: self, procs: crate::registry::ospf_processes(&g), g })
+            }
+            ProtocolSpec::Bgp { mode } => {
+                let roles = self.topology.fig4_roles().expect("validated");
+                let procs = crate::registry::bgp_fig4_processes(&roles, mode);
+                Box::new(Kit { scn: self, procs, g })
+            }
+        };
+        Ok(kit)
+    }
+
     /// Runs the instrumented production network and extracts the partial
     /// recording (the `record` half of the workflow).
     pub fn record_run(&self) -> Result<RecordedRun, ScenarioError> {
-        self.record_dispatch(None)
+        self.kit()?.record(None)
     }
 
     /// [`record_run`](Self::record_run), additionally *streaming* the
@@ -480,267 +516,37 @@ impl Scenario {
     /// crash mid-run leaves a recoverable prefix instead of nothing. The
     /// returned [`RecordedRun`] is identical to the store-less path.
     pub fn record_run_to_store(&self, path: &Path) -> Result<RecordedRun, ScenarioError> {
-        self.record_dispatch(Some(path))
+        self.kit()?.record(Some(path))
     }
 
-    fn record_dispatch(&self, store: Option<&Path>) -> Result<RecordedRun, ScenarioError> {
-        let g = self.checked_build()?;
-        match self.protocol {
-            ProtocolSpec::Rip { mode } => {
-                let procs = crate::registry::rip_processes(&g, mode);
-                self.record_typed(&g, procs, ext_to_rip, |net| self.probe_rip(net), store)
-            }
-            ProtocolSpec::Ospf => {
-                let procs = crate::registry::ospf_processes(&g);
-                self.record_typed(&g, procs, ext_to_ospf, |net| self.probe_ospf(net), store)
-            }
-            ProtocolSpec::Bgp { mode } => {
-                let roles = self.topology.fig4_roles().expect("validated");
-                let procs = crate::registry::bgp_fig4_processes(&roles, mode);
-                self.record_typed(&g, procs, ext_to_bgp, |net| self.probe_bgp(net), store)
-            }
-        }
-    }
-
-    /// Replays a serialised recording in lockstep and returns the per-node
-    /// committed logs (for equivalence checks against
-    /// [`RecordedRun::logs`]).
-    pub fn replay_logs(&self, bytes: &[u8]) -> Result<Vec<Vec<CommitRecord>>, ScenarioError> {
-        self.replay_logs_sharded(bytes, 1)
-    }
-
-    /// [`replay_logs`](Self::replay_logs) with the replay's waves executed
-    /// across `shards` worker shards (`0` = auto). The logs are
-    /// byte-identical for every shard count — the `--shards` self-check in
-    /// `defined-dbg record` leans on this.
+    /// Replays a serialised recording in lockstep, with the replay's waves
+    /// executed across `shards` worker shards (`0` = auto), and returns the
+    /// per-node committed logs (for equivalence checks against
+    /// [`RecordedRun::logs`]). The logs are byte-identical for every shard
+    /// count — the `--shards` self-check in `defined-dbg record` leans on
+    /// this.
     pub fn replay_logs_sharded(
         &self,
         bytes: &[u8],
         shards: usize,
     ) -> Result<Vec<Vec<CommitRecord>>, ScenarioError> {
-        let g = self.checked_build()?;
-        match self.protocol {
-            ProtocolSpec::Rip { mode } => {
-                self.replay_typed(&g, crate::registry::rip_processes(&g, mode), bytes, shards)
-            }
-            ProtocolSpec::Ospf => {
-                self.replay_typed(&g, crate::registry::ospf_processes(&g), bytes, shards)
-            }
-            ProtocolSpec::Bgp { mode } => {
-                let roles = self.topology.fig4_roles().expect("validated");
-                self.replay_typed(
-                    &g,
-                    crate::registry::bgp_fig4_processes(&roles, mode),
-                    bytes,
-                    shards,
-                )
-            }
-        }
+        self.kit()?.replay(bytes, shards)
     }
 
     /// Loads a serialised recording into a debugging network and drives a
     /// scripted [`DebugSession`] over it, returning the transcript (the
     /// `debug` half of the workflow). Deterministic: the same recording and
-    /// script always produce the same transcript.
-    pub fn debug_transcript(&self, bytes: &[u8], script: &str) -> Result<String, ScenarioError> {
-        self.debug_transcript_sharded(bytes, script, 1)
-    }
-
-    /// [`debug_transcript`](Self::debug_transcript) with the underlying
-    /// replay sharded `shards` ways (`0` = auto). Interactive stepping is
-    /// wave-serial either way; sharding accelerates the bulk moves (`run`,
-    /// `stepg`, checkpoint re-execution) and never changes the transcript.
+    /// script always produce the same transcript. The replay is sharded
+    /// `shards` ways (`0` = auto); interactive stepping is wave-serial
+    /// either way, sharding accelerates the bulk moves (`run`, `stepg`,
+    /// checkpoint re-execution) and never changes the transcript.
     pub fn debug_transcript_sharded(
         &self,
         bytes: &[u8],
         script: &str,
         shards: usize,
     ) -> Result<String, ScenarioError> {
-        let g = self.checked_build()?;
-        match self.protocol {
-            ProtocolSpec::Rip { mode } => {
-                self.debug_typed(&g, crate::registry::rip_processes(&g, mode), bytes, script, shards)
-            }
-            ProtocolSpec::Ospf => {
-                self.debug_typed(&g, crate::registry::ospf_processes(&g), bytes, script, shards)
-            }
-            ProtocolSpec::Bgp { mode } => {
-                let roles = self.topology.fig4_roles().expect("validated");
-                self.debug_typed(
-                    &g,
-                    crate::registry::bgp_fig4_processes(&roles, mode),
-                    bytes,
-                    script,
-                    shards,
-                )
-            }
-        }
-    }
-
-    /// Builds the RB-instrumented production network, applies the workload
-    /// and fault schedule, runs to the deadline, and extracts the recording.
-    fn record_typed<P>(
-        &self,
-        g: &Graph,
-        procs: Vec<P>,
-        conv: impl Fn(&ExtSpec) -> Option<P::Ext>,
-        outcome: impl FnOnce(&RbNetwork<P>) -> Option<String>,
-        store: Option<&Path>,
-    ) -> Result<RecordedRun, ScenarioError>
-    where
-        P: ControlPlane + Clone + 'static,
-        P::Ext: Wire,
-    {
-        let mut net = RbNetwork::new(g, self.run_config(), self.seed, self.jitter_frac, {
-            move |id: NodeId| procs[id.index()].clone()
-        });
-        let mut streamer = match store {
-            Some(path) => {
-                let meta = StoreMeta {
-                    n_nodes: g.node_count(),
-                    source: net.initial_source(),
-                    scenario: self.name.clone(),
-                };
-                Some(StoreStreamer::create(path, &meta)?)
-            }
-            None => None,
-        };
-        for inj in &self.workload {
-            let ev = conv(&inj.ev).ok_or_else(|| {
-                ScenarioError::Invalid(format!("injection {:?} does not fit the protocol", inj.ev))
-            })?;
-            net.inject_external(inj.at, inj.node, ev);
-        }
-        for f in &self.faults {
-            match f {
-                Fault::NodeDown { at, node } => net.schedule_node(*at, *node, false),
-                Fault::NodeUp { at, node } => net.schedule_node(*at, *node, true),
-                Fault::LinkDown { at, a, b } => net.schedule_link(*at, *a, *b, false),
-                Fault::LinkUp { at, a, b } => net.schedule_link(*at, *a, *b, true),
-                Fault::LinkFlap { at, a, b, down_for, period, count } => {
-                    net.schedule_flap(*at, *a, *b, *down_for, *period, *count);
-                }
-                Fault::Partition { at, heal, side } => {
-                    net.schedule_partition(*at, *heal, side);
-                }
-                Fault::LossWindow { from, until, a, b, p } => {
-                    net.schedule_loss_window(*from, *until, *a, *b, *p);
-                }
-            }
-        }
-        // Run in beacon-sized slices, sampling the GVT bound at each — the
-        // simulator is a pure event pump, so incremental `run_until` calls
-        // commit the identical execution as one call to the deadline.
-        let end = SimTime::ZERO + self.duration;
-        let slice = DefinedConfig::default().beacon_interval * 4;
-        let mut monitor = GvtMonitor::new();
-        let mut t = SimTime::ZERO;
-        while t < end {
-            t = (t + slice).min(end);
-            net.run_until(t);
-            monitor.observe(&net);
-            if let Some(s) = streamer.as_mut() {
-                s.drain(&net)?;
-            }
-        }
-        let outcome = outcome(&net);
-        let upto = net.completed_group(2);
-        // Publish the production run's rollback tallies as gauge-style
-        // counters (§11): every subcommand that records can then surface
-        // the same `gvt:` line from the obs snapshot alone.
-        let m = net.total_metrics();
-        obs::counter!("rb.rollbacks").set(m.rollbacks);
-        obs::counter!("rb.rolled_entries").set(m.rolled_entries);
-        obs::counter!("rb.unsend_msgs").set(m.unsend_msgs);
-        obs::counter!("rb.fast_path").set(m.fast_path);
-        let samples = monitor.samples();
-        let gvt = GvtReport {
-            first: samples.first().map(|s| s.gvt).unwrap_or(0),
-            last: samples.last().map(|s| s.gvt).unwrap_or(0),
-            floor: samples.last().map(|s| s.floor).unwrap_or(0),
-            samples: samples.len(),
-            monotone: monitor.is_monotone(),
-            total_advance: monitor.total_advance(),
-            rollbacks: m.rollbacks,
-            capture: self.capture.to_string(),
-        };
-        let (rec, logs) = net.into_recording();
-        if let Some(s) = streamer {
-            // Store the commit logs trimmed to the comparison horizon: that
-            // is exactly the prefix `verify` replays against, and groups
-            // past `upto` are not settled network-wide anyway.
-            let trimmed: Vec<Vec<CommitRecord>> =
-                logs.iter().map(|l| trim_log(l, upto)).collect();
-            s.finish(&rec, &trimmed, upto)?;
-        }
-        Ok(RecordedRun {
-            bytes: rec.to_bytes(),
-            n_groups: rec.last_group,
-            n_externals: rec.externals.len(),
-            n_mutes: rec.mutes.len(),
-            n_drops: rec.drops.len(),
-            outcome,
-            upto,
-            logs,
-            gvt,
-        })
-    }
-
-    fn replay_typed<P>(
-        &self,
-        g: &Graph,
-        procs: Vec<P>,
-        bytes: &[u8],
-        shards: usize,
-    ) -> Result<Vec<Vec<CommitRecord>>, ScenarioError>
-    where
-        P: ControlPlane + Clone + 'static,
-        P::Ext: Wire,
-    {
-        let rec = decode_for::<P>(g, bytes)?;
-        let mut ls = LockstepNet::new(g, self.run_config(), rec, move |id: NodeId| {
-            procs[id.index()].clone()
-        })
-        .with_shards(shards);
-        ls.run_to_end();
-        Ok(ls.logs().to_vec())
-    }
-
-    fn debug_typed<P>(
-        &self,
-        g: &Graph,
-        procs: Vec<P>,
-        bytes: &[u8],
-        script: &str,
-        shards: usize,
-    ) -> Result<String, ScenarioError>
-    where
-        P: ControlPlane + Clone + 'static,
-        P::Msg: Wire,
-        P::Ext: Wire,
-    {
-        let rec = decode_for::<P>(g, bytes)?;
-        let ls = LockstepNet::new(g, self.run_config(), rec, move |id: NodeId| {
-            procs[id.index()].clone()
-        })
-        .with_shards(shards);
-        let mut session = DebugSession::new(Debugger::new(ls), g.node_count());
-        Ok(session.run_script(script))
-    }
-
-    fn probe_rip(&self, net: &RbNetwork<RipProcess>) -> Option<String> {
-        let node = self.probe.node()?;
-        rip_outcome(&self.probe, net.control_plane(node))
-    }
-
-    fn probe_bgp(&self, net: &RbNetwork<BgpProcess>) -> Option<String> {
-        let node = self.probe.node()?;
-        bgp_outcome(&self.probe, net.control_plane(node))
-    }
-
-    fn probe_ospf(&self, net: &RbNetwork<OspfProcess>) -> Option<String> {
-        let node = self.probe.node()?;
-        ospf_outcome(&self.probe, net.control_plane(node))
+        self.kit()?.debug(bytes, script, shards)
     }
 
     /// Sweeps `salts` permuted orderings over a recording on the replay
@@ -755,37 +561,9 @@ impl Scenario {
         salts: u64,
         farm: &FarmConfig,
     ) -> Result<ExploreReport, ScenarioError> {
-        let g = self.checked_build()?;
+        let kit = self.kit()?;
         self.require_probe()?;
-        match self.protocol {
-            ProtocolSpec::Rip { mode } => self.explore_typed(
-                &g,
-                crate::registry::rip_processes(&g, mode),
-                bytes,
-                salts,
-                farm,
-                rip_outcome,
-            ),
-            ProtocolSpec::Ospf => self.explore_typed(
-                &g,
-                crate::registry::ospf_processes(&g),
-                bytes,
-                salts,
-                farm,
-                ospf_outcome,
-            ),
-            ProtocolSpec::Bgp { mode } => {
-                let roles = self.topology.fig4_roles().expect("validated");
-                self.explore_typed(
-                    &g,
-                    crate::registry::bgp_fig4_processes(&roles, mode),
-                    bytes,
-                    salts,
-                    farm,
-                    bgp_outcome,
-                )
-            }
-        }
+        kit.explore(bytes, salts, farm)
     }
 
     /// Localises when the scenario's final probe outcome was established:
@@ -811,30 +589,19 @@ impl Scenario {
         bytes: &[u8],
         farm: &FarmConfig,
     ) -> Result<Option<BisectSummary>, ScenarioError> {
-        let g = self.checked_build()?;
+        let kit = self.kit()?;
         self.require_probe()?;
-        match self.protocol {
-            ProtocolSpec::Rip { mode } => self.bisect_typed(
-                &g,
-                crate::registry::rip_processes(&g, mode),
-                bytes,
-                farm,
-                rip_outcome,
-            ),
-            ProtocolSpec::Ospf => {
-                self.bisect_typed(&g, crate::registry::ospf_processes(&g), bytes, farm, ospf_outcome)
-            }
-            ProtocolSpec::Bgp { mode } => {
-                let roles = self.topology.fig4_roles().expect("validated");
-                self.bisect_typed(
-                    &g,
-                    crate::registry::bgp_fig4_processes(&roles, mode),
-                    bytes,
-                    farm,
-                    bgp_outcome,
-                )
-            }
-        }
+        kit.bisect(bytes, farm)
+    }
+
+    /// Verifies an on-disk recording store end to end: structural
+    /// integrity (every frame CRC, self-check tallies), then a fresh
+    /// lockstep replay checked entry-by-entry against the commit logs the
+    /// production run stored. Strict: a store that needed torn-tail
+    /// recovery, or whose bytes were corrupted anywhere, is a typed
+    /// [`ScenarioError::Store`] — never a panic, never a silent pass.
+    pub fn verify_store(&self, bytes: &[u8], shards: usize) -> Result<VerifyReport, ScenarioError> {
+        self.kit()?.verify(bytes, shards)
     }
 
     fn require_probe(&self) -> Result<(), ScenarioError> {
@@ -846,35 +613,192 @@ impl Scenario {
         }
         Ok(())
     }
+}
 
-    fn explore_typed<P>(
+impl<P: ScenarioProtocol> Kit<'_, P> {
+    /// Node `i` of a fresh network runs a clone of `procs[i]`.
+    fn spawn(&self) -> impl Fn(NodeId) -> P + Sync + '_ {
+        |id: NodeId| self.procs[id.index()].clone()
+    }
+
+    /// The lockstep replayer every verb builds: the scenario's run
+    /// configuration and fresh processes, with waves across `shards`
+    /// worker shards.
+    fn lockstep(&self, rec: Recording<P::Ext>, shards: usize) -> LockstepNet<P> {
+        LockstepNet::new(&self.g, self.scn.run_config(), rec, self.spawn()).with_shards(shards)
+    }
+
+    /// Decodes a recording and [`check`](Self::check)s it against this
+    /// network.
+    ///
+    /// Accepts both serialisations transparently: the on-disk store format
+    /// (sniffed by its magic; torn tails recover to the last sync point,
+    /// corruption is a typed [`ScenarioError::Store`]) and the raw in-memory
+    /// [`Recording::to_bytes`] framing.
+    fn decode(&self, bytes: &[u8]) -> Result<Recording<P::Ext>, ScenarioError> {
+        let rec = if defined_store::is_store(bytes) {
+            defined_store::open_bytes::<P::Ext>(bytes)?.recording
+        } else {
+            Recording::<P::Ext>::from_bytes(bytes).ok_or(ScenarioError::BadRecording)?
+        };
+        self.check(rec)
+    }
+
+    /// Checks that a decoded recording was taken on a network of this
+    /// scenario's size and names no node outside it — externals, ticks and
+    /// their beacon sources, losses, and death cuts. The replayer indexes
+    /// its node tables by these ids, so a recording from a different-sized
+    /// scenario, or a corrupted one, must be a clean
+    /// [`ScenarioError::BadRecording`] here rather than a panic there.
+    fn check(&self, rec: Recording<P::Ext>) -> Result<Recording<P::Ext>, ScenarioError> {
+        let n = self.g.node_count();
+        let mut ids = rec.externals.iter().map(|e| e.node)
+            .chain(rec.ticks.iter().flat_map(|t| [t.node, t.source]))
+            .chain(rec.drops.iter().map(|d| d.sender))
+            .chain(rec.mutes.iter().map(|m| m.node));
+        if rec.n_nodes != n || ids.any(|id| id.index() >= n) {
+            return Err(ScenarioError::BadRecording);
+        }
+        Ok(rec)
+    }
+
+    /// The probe's report on a replay; the caller has checked that the
+    /// scenario has a probe.
+    fn probe(&self, ls: &LockstepNet<P>) -> String {
+        let node = self.scn.probe.node().expect("probe checked");
+        ls.control_plane(node).outcome(&self.scn.probe).expect("probe fits the protocol")
+    }
+}
+
+impl<P: ScenarioProtocol> Verbs for Kit<'_, P> {
+    /// Builds the RB-instrumented production network, applies the workload
+    /// and fault schedule, runs to the deadline, and extracts the recording.
+    fn record(self: Box<Self>, store: Option<&Path>) -> Result<RecordedRun, ScenarioError> {
+        let Kit { scn, g, procs } = *self;
+        let mut net = RbNetwork::new(&g, scn.run_config(), scn.seed, scn.jitter_frac, {
+            move |id: NodeId| procs[id.index()].clone()
+        });
+        let mut streamer = match store {
+            Some(path) => {
+                let meta = StoreMeta {
+                    n_nodes: g.node_count(),
+                    source: net.initial_source(),
+                    scenario: scn.name.clone(),
+                };
+                Some(StoreStreamer::create(path, &meta)?)
+            }
+            None => None,
+        };
+        for inj in &scn.workload {
+            let ev = P::external(&inj.ev).ok_or_else(|| {
+                ScenarioError::Invalid(format!("injection {:?} does not fit the protocol", inj.ev))
+            })?;
+            net.inject_external(inj.at, inj.node, ev);
+        }
+        for f in &scn.faults {
+            match f {
+                Fault::NodeDown { at, node } => net.schedule_node(*at, *node, false),
+                Fault::NodeUp { at, node } => net.schedule_node(*at, *node, true),
+                Fault::LinkDown { at, a, b } => net.schedule_link(*at, *a, *b, false),
+                Fault::LinkUp { at, a, b } => net.schedule_link(*at, *a, *b, true),
+                Fault::LinkFlap { at, a, b, down_for, period, count } => {
+                    net.schedule_flap(*at, *a, *b, *down_for, *period, *count);
+                }
+                Fault::Partition { at, heal, side } => {
+                    net.schedule_partition(*at, *heal, side);
+                }
+                Fault::LossWindow { from, until, a, b, p } => {
+                    net.schedule_loss_window(*from, *until, *a, *b, *p);
+                }
+            }
+        }
+        // Run in beacon-sized slices, sampling the GVT bound at each — the
+        // simulator is a pure event pump, so incremental `run_until` calls
+        // commit the identical execution as one call to the deadline.
+        let end = SimTime::ZERO + scn.duration;
+        let slice = DefinedConfig::default().beacon_interval * 4;
+        let mut monitor = GvtMonitor::new();
+        let mut t = SimTime::ZERO;
+        while t < end {
+            t = (t + slice).min(end);
+            net.run_until(t);
+            monitor.observe(&net);
+            if let Some(s) = streamer.as_mut() {
+                s.drain(&net)?;
+            }
+        }
+        let outcome = scn.probe.node().and_then(|node| net.control_plane(node).outcome(&scn.probe));
+        let upto = net.completed_group(2);
+        // Publish the production run's rollback tallies as gauge-style
+        // counters (§11): every subcommand that records can then surface
+        // the same `gvt:` line from the obs snapshot alone.
+        let m = net.total_metrics();
+        obs::counter!("rb.rollbacks").set(m.rollbacks);
+        obs::counter!("rb.rolled_entries").set(m.rolled_entries);
+        obs::counter!("rb.unsend_msgs").set(m.unsend_msgs);
+        obs::counter!("rb.fast_path").set(m.fast_path);
+        let samples = monitor.samples();
+        let gvt = GvtReport {
+            first: samples.first().map(|s| s.gvt).unwrap_or(0),
+            last: samples.last().map(|s| s.gvt).unwrap_or(0),
+            floor: samples.last().map(|s| s.floor).unwrap_or(0),
+            samples: samples.len(),
+            monotone: monitor.is_monotone(),
+            total_advance: monitor.total_advance(),
+            rollbacks: m.rollbacks,
+            capture: scn.capture.to_string(),
+        };
+        let (rec, logs) = net.into_recording();
+        if let Some(s) = streamer {
+            // Store the commit logs trimmed to the comparison horizon: that
+            // is exactly the prefix `verify` replays against, and groups
+            // past `upto` are not settled network-wide anyway.
+            let trimmed: Vec<Vec<CommitRecord>> =
+                logs.iter().map(|l| trim_log(l, upto)).collect();
+            s.finish(&rec, &trimmed, upto)?;
+        }
+        Ok(RecordedRun {
+            bytes: rec.to_bytes(),
+            n_groups: rec.last_group,
+            n_externals: rec.externals.len(),
+            n_mutes: rec.mutes.len(),
+            n_drops: rec.drops.len(),
+            outcome,
+            upto,
+            logs,
+            gvt,
+        })
+    }
+
+    fn replay(&self, bytes: &[u8], shards: usize) -> Result<Vec<Vec<CommitRecord>>, ScenarioError> {
+        let mut ls = self.lockstep(self.decode(bytes)?, shards);
+        ls.run_to_end();
+        Ok(ls.logs().to_vec())
+    }
+
+    fn debug(&self, bytes: &[u8], script: &str, shards: usize) -> Result<String, ScenarioError> {
+        let ls = self.lockstep(self.decode(bytes)?, shards);
+        let mut session = DebugSession::new(Debugger::new(ls), self.g.node_count());
+        Ok(session.run_script(script))
+    }
+
+    fn explore(
         &self,
-        g: &Graph,
-        procs: Vec<P>,
         bytes: &[u8],
         salts: u64,
         farm: &FarmConfig,
-        outcome: impl Fn(&Probe, &P) -> Option<String> + Sync,
-    ) -> Result<ExploreReport, ScenarioError>
-    where
-        P: ControlPlane + Clone + Sync + 'static,
-        P::Ext: Wire,
-    {
-        let rec = decode_for::<P>(g, bytes)?;
-        let spawn = move |id: NodeId| procs[id.index()].clone();
-        let cfg = self.run_config();
-        let node = self.probe.node().expect("probe checked");
-        let read = |ls: &LockstepNet<P>| {
-            outcome(&self.probe, ls.control_plane(node)).expect("probe fits the protocol")
-        };
-        let mut base =
-            LockstepNet::new(g, cfg.clone(), rec.clone(), &spawn).with_shards(farm.shards);
+    ) -> Result<ExploreReport, ScenarioError> {
+        let rec = self.decode(bytes)?;
+        let mut base = self.lockstep(rec.clone(), farm.shards);
         base.run_to_end();
-        let baseline = read(&base);
+        let baseline = self.probe(&base);
         // One sweep yields everything the report needs: each salt's outcome
         // string, from which both the sensitivity tally and the earliest
         // divergence fall out — half the replays of a find-then-count pair.
-        let outcomes = ordering_survey_farm(g, &cfg, &rec, &spawn, 0..salts, read, farm);
+        let read = |ls: &LockstepNet<P>| self.probe(ls);
+        let cfg = self.scn.run_config();
+        let outcomes =
+            ordering_survey_farm(&self.g, &cfg, &rec, self.spawn(), 0..salts, read, farm);
         let mut divergent = 0;
         let mut found = None;
         let mut failures = Vec::new();
@@ -893,38 +817,25 @@ impl Scenario {
         Ok(ExploreReport { baseline, found, divergent, total: salts as usize, failures })
     }
 
-    fn bisect_typed<P>(
+    fn bisect(
         &self,
-        g: &Graph,
-        procs: Vec<P>,
         bytes: &[u8],
         farm: &FarmConfig,
-        outcome: impl Fn(&Probe, &P) -> Option<String> + Sync,
-    ) -> Result<Option<BisectSummary>, ScenarioError>
-    where
-        P: ControlPlane + Clone + Sync + 'static,
-        P::Msg: Wire,
-        P::Ext: Wire,
-    {
-        let rec = decode_for::<P>(g, bytes)?;
-        let spawn = move |id: NodeId| procs[id.index()].clone();
-        let cfg = self.run_config();
-        let node = self.probe.node().expect("probe checked");
-        let read = |ls: &LockstepNet<P>| {
-            outcome(&self.probe, ls.control_plane(node)).expect("probe fits the protocol")
-        };
-        let mut full =
-            LockstepNet::new(g, cfg.clone(), rec.clone(), &spawn).with_shards(farm.shards);
+    ) -> Result<Option<BisectSummary>, ScenarioError> {
+        let rec = self.decode(bytes)?;
+        let mut full = self.lockstep(rec.clone(), farm.shards);
         full.run_to_end();
-        let target = read(&full);
+        let target = self.probe(&full);
         // The speculation width fixes the probe *schedule*; keeping it
         // constant (rather than tied to `jobs`) makes the rendered report —
         // replay count included — byte-identical for every `--jobs` value.
         let farm = FarmConfig { speculation: 4, ..*farm };
-        let bad = |ls: &LockstepNet<P>| read(ls) == target;
+        let bad = |ls: &LockstepNet<P>| self.probe(ls) == target;
+        let cfg = self.scn.run_config();
         // One call shares the probe sessions between the group bisection
         // and the event scan, so the scan seeds from their checkpoints.
-        let Some((report, located)) = localise_fault_farm(g, &cfg, &rec, &spawn, bad, &farm)
+        let Some((report, located)) =
+            localise_fault_farm(&self.g, &cfg, &rec, self.spawn(), bad, &farm)
         else {
             return Ok(None); // Only a degenerate group-less recording.
         };
@@ -934,56 +845,13 @@ impl Scenario {
         Ok(Some(BisectSummary { outcome: target, report, event }))
     }
 
-    /// Verifies an on-disk recording store end to end: structural
-    /// integrity (every frame CRC, self-check tallies), then a fresh
-    /// lockstep replay checked entry-by-entry against the commit logs the
-    /// production run stored. Strict: a store that needed torn-tail
-    /// recovery, or whose bytes were corrupted anywhere, is a typed
-    /// [`ScenarioError::Store`] — never a panic, never a silent pass.
-    pub fn verify_store(&self, bytes: &[u8], shards: usize) -> Result<VerifyReport, ScenarioError> {
-        let g = self.checked_build()?;
-        match self.protocol {
-            ProtocolSpec::Rip { mode } => {
-                self.verify_typed(&g, crate::registry::rip_processes(&g, mode), bytes, shards)
-            }
-            ProtocolSpec::Ospf => {
-                self.verify_typed(&g, crate::registry::ospf_processes(&g), bytes, shards)
-            }
-            ProtocolSpec::Bgp { mode } => {
-                let roles = self.topology.fig4_roles().expect("validated");
-                self.verify_typed(
-                    &g,
-                    crate::registry::bgp_fig4_processes(&roles, mode),
-                    bytes,
-                    shards,
-                )
-            }
-        }
-    }
-
-    fn verify_typed<P>(
-        &self,
-        g: &Graph,
-        procs: Vec<P>,
-        bytes: &[u8],
-        shards: usize,
-    ) -> Result<VerifyReport, ScenarioError>
-    where
-        P: ControlPlane + Clone + 'static,
-        P::Ext: Wire,
-    {
+    fn verify(&self, bytes: &[u8], shards: usize) -> Result<VerifyReport, ScenarioError> {
         let r = defined_store::open_bytes_strict::<P::Ext>(bytes)?;
-        if r.recording.n_nodes != g.node_count() {
-            return Err(ScenarioError::BadRecording);
-        }
+        let rec = self.check(r.recording)?;
         let commits = r.commits.expect("strict open only passes finished stores");
         let upto = r.upto.expect("strict open only passes finished stores");
-        let last_group = r.recording.last_group;
-        let mut ls =
-            LockstepNet::new(g, self.run_config(), r.recording, move |id: NodeId| {
-                procs[id.index()].clone()
-            })
-            .with_shards(shards);
+        let last_group = rec.last_group;
+        let mut ls = self.lockstep(rec, shards);
         ls.run_to_end();
         let divergence = first_divergence(&commits, ls.logs(), upto).map(|(node, i, a, b)| {
             format!("node {node}, entry {i}: stored {a:?}, replay {b:?}")
@@ -1155,10 +1023,10 @@ mod tests {
         let run = scn.record_run().expect("records");
         assert!(run.n_groups >= 5);
         assert_eq!(run.outcome.as_deref(), Some("n2 reaches 3 destinations"));
-        let ls = scn.replay_logs(&run.bytes).expect("replays");
+        let ls = scn.replay_logs_sharded(&run.bytes, 1).expect("replays");
         assert!(first_divergence(&run.logs, &ls, run.upto).is_none());
-        let t1 = scn.debug_transcript(&run.bytes, "stepg 2\nwhere\n").expect("debugs");
-        let t2 = scn.debug_transcript(&run.bytes, "stepg 2\nwhere\n").expect("debugs again");
+        let t1 = scn.debug_transcript_sharded(&run.bytes, "stepg 2\nwhere\n", 1).expect("debugs");
+        let t2 = scn.debug_transcript_sharded(&run.bytes, "stepg 2\nwhere\n", 1).expect("debugs again");
         assert_eq!(t1, t2);
         assert!(t1.contains("group"), "{t1}");
     }
@@ -1184,7 +1052,7 @@ mod tests {
     fn sharded_scenario_replay_matches_serial() {
         let scn = mini_ospf();
         let run = scn.record_run().expect("records");
-        let serial = scn.replay_logs(&run.bytes).expect("serial");
+        let serial = scn.replay_logs_sharded(&run.bytes, 1).expect("serial");
         for shards in [2usize, 3] {
             assert_eq!(
                 scn.replay_logs_sharded(&run.bytes, shards).expect("sharded"),
@@ -1198,10 +1066,10 @@ mod tests {
     fn bad_recordings_are_rejected() {
         let scn = mini_ospf();
         assert!(matches!(
-            scn.debug_transcript(b"garbage", "step\n"),
+            scn.debug_transcript_sharded(b"garbage", "step\n", 1),
             Err(ScenarioError::BadRecording)
         ));
-        assert!(matches!(scn.replay_logs(&[1, 2, 3]), Err(ScenarioError::BadRecording)));
+        assert!(matches!(scn.replay_logs_sharded(&[1, 2, 3], 1), Err(ScenarioError::BadRecording)));
     }
 
     #[test]
@@ -1285,17 +1153,63 @@ mod tests {
         assert!(scn.validate().is_ok());
     }
 
+    /// A recording from a different-sized network, or a right-sized one
+    /// that names a node the network lacks — an external's target, a
+    /// tick's node or its beacon source — is BadRecording from every verb,
+    /// raw or store-framed, never a size-assert or index panic inside the
+    /// replayer.
     #[test]
     fn wrong_size_recording_is_rejected_cleanly() {
-        // A same-protocol recording from a different-sized network must be
-        // BadRecording, not a LockstepNet size-assert panic.
-        let run = mini_ospf().record_run().expect("records");
+        use defined_core::recorder::ExtRecord;
+        let scn = mini_ospf();
+        let run = scn.record_run().expect("records");
         let mut big = mini_ospf();
         big.topology = TopologySpec::Ring { n: 5, delay: SimDuration::from_millis(4) };
-        assert!(matches!(big.replay_logs(&run.bytes), Err(ScenarioError::BadRecording)));
+        assert!(matches!(big.replay_logs_sharded(&run.bytes, 1), Err(ScenarioError::BadRecording)));
         assert!(matches!(
-            big.debug_transcript(&run.bytes, "step\n"),
+            big.debug_transcript_sharded(&run.bytes, "step\n", 1),
             Err(ScenarioError::BadRecording)
         ));
+        let good = Recording::<()>::from_bytes(&run.bytes).expect("decodes");
+        let edited = |edit: &dyn Fn(&mut Recording<()>)| {
+            let mut rec = good.clone();
+            edit(&mut rec);
+            rec
+        };
+        let far = NodeId(99);
+        let cases = [
+            edited(&|r| r.n_nodes = 5),
+            edited(&|r| r.ticks.push(TickRecord { node: far, group: 1, source: NodeId(0) })),
+            edited(&|r| r.ticks.push(TickRecord { node: NodeId(0), group: 1, source: far })),
+            edited(&|r| {
+                r.externals.push(ExtRecord { node: far, ext_seq: 0, group: 1, payload: () })
+            }),
+        ];
+        let farm = FarmConfig::serial();
+        let is_bad = |r: Result<(), ScenarioError>| matches!(r, Err(ScenarioError::BadRecording));
+        for rec in &cases {
+            let meta =
+                StoreMeta { n_nodes: rec.n_nodes, source: rec.source, scenario: scn.name.clone() };
+            let mut logs = run.logs.clone();
+            logs.resize(rec.n_nodes, Vec::new());
+            let store = defined_store::write_recording(
+                defined_store::VecIo::new(),
+                &meta,
+                rec,
+                &logs,
+                run.upto,
+                4,
+                FsyncPolicy::Never,
+            )
+            .expect("writes")
+            .bytes;
+            assert!(is_bad(scn.verify_store(&store, 1).map(drop)), "verify: {rec:?}");
+            for bytes in [rec.to_bytes(), store] {
+                assert!(is_bad(scn.replay_logs_sharded(&bytes, 1).map(drop)), "replay: {rec:?}");
+                assert!(is_bad(scn.debug_transcript_sharded(&bytes, "run\n", 1).map(drop)));
+                assert!(is_bad(scn.explore_run(&bytes, 2, &farm).map(drop)), "explore: {rec:?}");
+                assert!(is_bad(scn.bisect_run(&bytes, &farm).map(drop)), "bisect: {rec:?}");
+            }
+        }
     }
 }

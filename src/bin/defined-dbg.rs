@@ -78,7 +78,7 @@
 //! used.
 //!
 //! `--shards` splits each individual replay across worker shards
-//! (`ShardedNet`): every lockstep wave is block-partitioned over the nodes
+//! (`ShardedWaves`): every lockstep wave is block-partitioned over the nodes
 //! and the shards' outputs are re-merged in deterministic `OrderKey` order,
 //! so commit logs, transcripts, and search reports are byte-identical for
 //! every shard count. `--shards 0` means one shard per available core;

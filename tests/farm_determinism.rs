@@ -209,16 +209,18 @@ fn adaptive_capture_reports_are_job_count_invariant() {
 /// render identical reports for jobs ∈ {1, 2, 8}.
 #[test]
 fn scenario_engine_reports_are_job_count_invariant() {
-    for name in ["rip-blackhole", "bgp-med"] {
+    for name in ["rip-blackhole", "bgp-med", "ospf-loss-window"] {
         let scn = scenario::find(name).expect("registry scenario");
         let run = scn.record_run().expect("records");
         let serial = FarmConfig::serial();
-        let explore_ref = scn.explore_run(&run.bytes, 8, &serial).expect("explores").render();
-        let bisect_ref = scn
-            .bisect_run(&run.bytes, &serial)
-            .expect("bisects")
-            .expect("has groups")
-            .render();
+        let explore = scn.explore_run(&run.bytes, 8, &serial).expect("explores");
+        let bisect = scn.bisect_run(&run.bytes, &serial).expect("bisects").expect("has groups");
+        // Both searches start from the replay's probe outcome, which by
+        // Theorem 1 is the production outcome.
+        assert_eq!(Some(&explore.baseline), run.outcome.as_ref(), "{name}: explore baseline");
+        assert_eq!(Some(&bisect.outcome), run.outcome.as_ref(), "{name}: bisect outcome");
+        let explore_ref = explore.render();
+        let bisect_ref = bisect.render();
         for jobs in [2usize, 8] {
             let farm = FarmConfig::with_jobs(jobs);
             assert_eq!(
